@@ -1,11 +1,12 @@
 """Shared settings for the benchmark harness.
 
-Every benchmark regenerates one table/figure of the paper (see the
-experiment index in ``DESIGN.md`` and the measured numbers in
-``EXPERIMENTS.md``).  Benchmarks are *simulation experiments*, not
+Every benchmark regenerates one table/figure of the paper (the experiment
+index is ``python -m repro list``).  They are *simulation experiments*, not
 micro-benchmarks: each runs once (``rounds=1``) and reports the rendered
 table through ``benchmark.extra_info`` and stdout (run pytest with ``-s`` to
-see the tables).
+see the tables).  The repository's performance benchmark is separate:
+``perfbench/`` (see ``perfbench/README.md``), declared in
+``BENCHMARK.json``.
 
 Scaling knobs: set ``REPRO_BENCH_FAST=1`` in the environment to shrink the
 simulated durations roughly 4x (useful on slow machines / CI smoke runs).

@@ -20,6 +20,7 @@ campaigns sharing grid points share their cached results.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -43,8 +44,11 @@ class CampaignUnit:
     label: str
     spec: "RunSpec | MultiFlowSpec"
 
-    @property
+    @functools.cached_property
     def cache_key(self) -> str:
+        # hashed once per unit: dedup, the store lookups, progress reports
+        # and the manifest all read it (the spec is frozen, so it cannot go
+        # stale)
         return self.spec.cache_key()
 
 

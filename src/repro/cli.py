@@ -418,6 +418,11 @@ def _run_observability(args: argparse.Namespace):
         yield bus
 
 
+_NO_TELEMETRY = ("error: this result carries no telemetry (legacy runner "
+                 "experiments predate the spec layer); --profile covers "
+                 "spec-backed experiments and spec/scenario files")
+
+
 def _print_observability(args: argparse.Namespace, result, bus) -> int:
     """Print the --trace / --profile reports after a run; 0 on success."""
     if bus is not None:
@@ -430,10 +435,7 @@ def _print_observability(args: argparse.Namespace, result, bus) -> int:
     if args.profile or args.profile_memory:
         telemetry = getattr(result, "telemetry", None)
         if telemetry is None:
-            print("error: this result carries no telemetry (legacy runner "
-                  "experiments predate the spec layer); --profile covers "
-                  "spec-backed experiments and spec/scenario files",
-                  file=sys.stderr)
+            print(_NO_TELEMETRY, file=sys.stderr)
             return 2
         print()
         print(telemetry.render())
@@ -494,6 +496,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: experiment {entry.experiment_id} does not support "
                   f"--backend {args.backend} (packet only)", file=sys.stderr)
             return 2
+    if entry.spec is None and (args.profile or args.profile_memory):
+        # legacy runners attach no telemetry: refuse before simulating
+        print(_NO_TELEMETRY, file=sys.stderr)
+        return 2
     # Apply path flags on top of the experiment's own base config (don't
     # clobber a non-default spec config when no flag was given).
     overrides = _path_overrides(args)

@@ -36,9 +36,10 @@ standing queue live.  Per round trip:
   (halve, freeze one round).
 
 Growth is applied in sub-round chunks so that the restricted-slow-start
-controller — the *real* :class:`repro.control.pid.PIDController`, fed the
-modelled occupancy fraction — samples the occupancy ramp at a resolution
-comparable to the packet-level ACK clock.
+controller — an inline step pinned bit-for-bit to
+:class:`repro.control.pid.PIDController`, fed the modelled occupancy
+fraction — samples the occupancy ramp at a resolution comparable to the
+packet-level ACK clock.
 
 The model is deterministic by construction (pure arithmetic, no random
 streams): ``seed`` is carried through to results for interface parity with
@@ -54,8 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import RestrictedSlowStartConfig
-from ..control.pid import PIDController
-from ..errors import ConfigurationError, ExperimentError
+from ..errors import ConfigurationError, ControlError, ExperimentError
 from ..metrics import FlowRecord, PopulationSummary, SummaryAccumulator
 from ..obs.trace import active_trace_bus
 from ..tcp.options import TCPOptions
@@ -165,11 +165,16 @@ class LimitedSlowStartFluid(FluidGrowthRule):
 
 
 class RestrictedFluid(FluidGrowthRule):
-    """The paper's PID-restricted slow-start, driving the real controller.
+    """The paper's PID-restricted slow-start, fed the fluid occupancy.
 
-    The same :class:`~repro.control.pid.PIDController` the packet-level
-    algorithm deploys is fed the fluid occupancy fraction, so gains tuned
-    for one backend are directly meaningful in the other.
+    The controller step is the packet-level
+    :class:`~repro.control.pid.PIDController` (back-calculation
+    anti-windup, filtered derivative on measurement) written out inline:
+    every chunk of every fluid engine runs it, and the call chain through
+    the controller object cost more than the arithmetic.  The float
+    operations and their order are the controller's, so gains tuned for
+    one backend mean the same in the other; ``tests/fluid/
+    test_restricted_step.py`` pins the two bit-for-bit.
     """
 
     name = "restricted"
@@ -183,15 +188,27 @@ class RestrictedFluid(FluidGrowthRule):
         #: controller suffers when the set-point headroom shrinks below one
         #: ACK's worth of growth (tiny IFQs).
         self.ack_quantum = float(ack_quantum)
-        gains = self.config.resolved_gains()
-        self.pid = PIDController(
-            gains,
-            setpoint=self.config.setpoint_fraction,
-            output_min=self.config.min_increment_per_ack,
-            output_max=self.config.max_increment_per_ack,
-            derivative_filter_tau=self.config.derivative_filter_tau,
-        )
-        self.controller_invocations = 0
+        config = self.config
+        gains = config.resolved_gains()
+        self._kp = gains.kp
+        self._ki = gains.ki
+        self._neg_kd = -gains.kd
+        # repro: allow[REP003] a configured gain, tested exactly as PIDController does
+        self._use_d = gains.kd != 0.0
+        self._tau = float(config.derivative_filter_tau)
+        self._setpoint = float(config.setpoint_fraction)
+        self._out_min = config.min_increment_per_ack
+        self._out_max = config.max_increment_per_ack
+        # back-calculation tracking time (the controller's default, Ti);
+        # None where the controller skips the bleed (ki = 0, Ti = 0 or inf)
+        ti = gains.ti
+        self._tracking = ti if gains.ki > 0.0 and 0 < ti < math.inf else None
+        self._guard = config.hard_setpoint_guard
+        self._reset_on_reduction = config.reset_integral_on_congestion
+        # controller memory: integral term and the (filtered) occupancy of
+        # the previous sample, None until the first sample after a reset
+        self._integral = 0.0
+        self._last_pv: float | None = None
 
     def grain(self, capacity: int) -> float:
         # Sample the occupancy ramp at roughly the resolution of the set
@@ -203,20 +220,56 @@ class RestrictedFluid(FluidGrowthRule):
 
     def increment(self, acked: float, cwnd: float, occupancy_fraction: float,
                   capacity: int, dt: float) -> float:
-        output = self.pid.update(occupancy_fraction, dt)
-        self.controller_invocations += 1
-        guard = self.config.hard_setpoint_guard
-        if guard and occupancy_fraction >= self.config.setpoint_fraction:
-            output = min(output, 0.0)
+        if dt <= 0:
+            raise ControlError(f"dt must be positive, got {dt!r}")
+        # -- PID step: PIDController.update, operation for operation -------
+        pv = occupancy_fraction
+        error = self._setpoint - pv
+        p_term = self._kp * error
+        last = self._last_pv
+        if last is None:
+            filtered = pv
+            d_term = 0.0
+        else:
+            # derivative on the (optionally low-pass filtered) measurement
+            tau = self._tau
+            filtered = last + dt / (tau + dt) * (pv - last) if tau > 0 else pv
+            d_term = self._neg_kd * (filtered - last) / dt if self._use_d else 0.0
+        self._last_pv = filtered
+        integral = self._integral + self._ki * error * dt
+        unsaturated = p_term + integral + d_term
+        if self._tracking is not None:
+            # back-calculation anti-windup: bleed the integral toward the
+            # value consistent with the clamped output
+            saturated = unsaturated
+            if saturated > self._out_max:
+                saturated = self._out_max
+            elif saturated < self._out_min:
+                saturated = self._out_min
+            integral += (saturated - unsaturated) * dt / self._tracking
+        self._integral = integral
+        output = p_term + integral + d_term
+        if output > self._out_max:
+            output = self._out_max
+        elif output < self._out_min:
+            output = self._out_min
+
+        # -- set-point guard -----------------------------------------------
+        guard = self._guard
+        if guard and pv >= self._setpoint and output > 0.0:
+            output = 0.0
         delta = output * acked
         if guard and delta > 0.0 and capacity > 0:
             # The packet-level controller re-evaluates every delayed ACK, so
             # it can overshoot the set-point boundary by at most one ACK's
             # grant before the guard engages.  Bound the coarser fluid chunk
             # the same way, or a saturated controller could leap from below
-            # the set point straight past it in a single chunk.
-            headroom = (self.config.setpoint_fraction - occupancy_fraction) * capacity
-            delta = min(delta, max(headroom, 0.0) + output * self.ack_quantum)
+            # the set point straight past it in a single chunk.  (A positive
+            # grant implies an occupancy below the set point, so the headroom
+            # is positive here.)
+            bound = (self._setpoint - pv) * capacity + output * self.ack_quantum
+            if bound < delta:
+                delta = bound
         return delta
 
     def sustained_queue_ceiling(self, capacity: int) -> float | None:
@@ -225,8 +278,9 @@ class RestrictedFluid(FluidGrowthRule):
         return self.config.setpoint_fraction * capacity
 
     def on_reduction(self) -> None:
-        if self.config.reset_integral_on_congestion:
-            self.pid.reset()
+        if self._reset_on_reduction:
+            self._integral = 0.0
+            self._last_pv = None
 
 
 #: Fluid growth rules by packet-registry algorithm name.  ``newreno`` maps
@@ -428,39 +482,8 @@ class FluidFlowModel:
         self.rule.on_reduction()
 
     # ------------------------------------------------------------------
-    # growth within one round
+    # one round
     # ------------------------------------------------------------------
-    def _grow(self, acked: float, dt: float) -> float:
-        """Apply one chunk of window growth; returns the net packets injected
-        above the ACK clock (the IFQ burst contribution; negative when a
-        trimming controller lets the queue drain)."""
-        before = self.cwnd
-        if self.cwnd < self.ssthresh:
-            delta = self.rule.increment(
-                acked, self.cwnd,
-                self.queue / self.capacity if self.capacity else 0.0,
-                self.capacity, dt)
-            if delta < 0.0:
-                # trimming controller: pull the window back (restricted
-                # slow-start holding the standing queue at the set point);
-                # the withheld injection lets the queue drain by the same amount
-                floor = max(1.0, float(self.options.initial_cwnd_segments))
-                self.cwnd = max(self.cwnd + delta, floor)
-                return self.cwnd - before
-            grown = self.cwnd + delta
-            if grown > self.ssthresh:
-                # finish slow-start exactly at ssthresh, remainder grows
-                # linearly (the RenoCC crossover rule)
-                overshoot = grown - self.ssthresh
-                self.cwnd = self.ssthresh + overshoot / max(self.ssthresh, 1.0)
-            else:
-                self.cwnd = grown
-        else:
-            # congestion avoidance: ~one segment per round trip
-            self.cwnd += acked / max(self.cwnd, 1.0)
-        self.max_cwnd = max(self.max_cwnd, self.cwnd)
-        return max(self.cwnd - before, 0.0)
-
     def _run_round(self, now: float, rtt: float, fraction: float = 1.0) -> float:
         """Advance one (possibly partial) round trip; returns acked segments."""
         window = self.window
@@ -487,26 +510,82 @@ class FluidFlowModel:
             chunks = min(max(chunks, _MIN_CHUNKS), _MAX_CHUNKS)
             chunk = acked_segments / chunks
             dt = span / chunks
+            increment = self.rule.increment
+            capacity = self.capacity
+            cap = float(capacity)
+            reject_at = capacity - _STALL_EPS
+            jitter = self.ack_jitter
+            floor = max(1.0, float(self.options.initial_cwnd_segments))
+            stop_on_stall = (self.options.local_congestion_policy
+                             != LocalCongestionPolicy.IGNORE)
+            cwnd = self.cwnd
+            ssthresh = self.ssthresh
+            queue = self.queue
+            peak = self.ifq_peak
+            max_cwnd = self.max_cwnd
+            steps = 0
             for i in range(chunks):
-                self.steps += 1
-                injected = self._grow(chunk, dt)
-                self.queue = max(self.queue + injected, 0.0)
-                self.ifq_peak = max(self.ifq_peak, min(self.queue + self.ack_jitter,
-                                                       float(self.capacity)))
+                steps += 1
+                # -- window growth: packets injected above the ACK clock ----
+                before = cwnd
+                if cwnd < ssthresh:
+                    delta = increment(chunk, cwnd,
+                                      queue / capacity if capacity else 0.0,
+                                      capacity, dt)
+                    if delta < 0.0:
+                        # trimming controller: pull the window back
+                        # (restricted slow-start holding the standing queue
+                        # at the set point); the withheld injection lets the
+                        # queue drain by the same amount
+                        cwnd += delta
+                        if floor > cwnd:
+                            cwnd = floor
+                        injected = cwnd - before
+                    else:
+                        cwnd += delta
+                        if cwnd > ssthresh:
+                            # finish slow-start exactly at ssthresh, remainder
+                            # grows linearly (the RenoCC crossover rule)
+                            cwnd = ssthresh + (cwnd - ssthresh) / max(ssthresh, 1.0)
+                        if cwnd > max_cwnd:
+                            max_cwnd = cwnd
+                        injected = cwnd - before  # growth: never negative
+                else:
+                    # congestion avoidance: ~one segment per round trip
+                    cwnd += chunk / max(cwnd, 1.0)
+                    if cwnd > max_cwnd:
+                        max_cwnd = cwnd
+                    injected = cwnd - before
+
+                queue += injected
+                if queue < 0.0:
+                    queue = 0.0
+                level = queue + jitter
+                if level > cap:
+                    level = cap
+                if level > peak:
+                    peak = level
                 # A growth burst overrunning the whole queue is an enqueue
                 # rejection.  (A persistent near-full queue is the second
                 # rejection mode; it is checked on the end-of-round sustained
                 # level below, so transient grant spikes the trim immediately
                 # pulls back do not count.)
-                if self.queue > self.capacity - _STALL_EPS:
-                    self.queue = min(self.queue, float(self.capacity))
+                if queue > reject_at:
+                    if queue > cap:
+                        queue = cap
+                    self.cwnd = cwnd
+                    self.queue = queue
                     self._reduce_on_stall(now + dt * (i + 1))
+                    cwnd = self.cwnd
+                    ssthresh = self.ssthresh
                     stalled = True
-                    if self.options.local_congestion_policy != LocalCongestionPolicy.IGNORE:
+                    if stop_on_stall:
                         break
-            if stalled and self.options.local_congestion_policy == LocalCongestionPolicy.IGNORE:
-                # surplus growth was discarded at the full queue
-                self.queue = min(self.queue, float(self.capacity))
+            self.cwnd = cwnd
+            self.queue = queue
+            self.ifq_peak = peak
+            self.max_cwnd = max_cwnd
+            self.steps += steps
 
         # End of round: excess occupancy relaxes toward the standing level
         # the window implies.  With the NIC at the bottleneck rate the fluid
@@ -730,8 +809,9 @@ class FluidMultiFlowResult:
 class _FlowState:
     """Dynamic state of one flow inside the coupled model.
 
-    The window arithmetic (slow-start/CA crossover, trimming controllers,
-    stall and loss reactions) mirrors :class:`FluidFlowModel` flow-for-flow;
+    The window arithmetic (slow-start/CA crossover and trimming controllers
+    in :meth:`FluidMultiFlowModel._run_round`'s substep loop, stall and
+    loss reactions here) mirrors :class:`FluidFlowModel` flow-for-flow;
     what differs is *who feeds it*: acknowledged segments arrive as the
     bottleneck allocator's share instead of ``min(W, pipe)``.
     """
@@ -782,30 +862,6 @@ class _FlowState:
             return math.inf
         return max(self.spec.total_bytes - self.bytes_acked, 0) / self.options.mss
 
-    # -- window growth (one chunk) ----------------------------------------
-    def grow(self, acked: float, dt: float, occupancy_fraction: float,
-             capacity: int) -> float:
-        """Apply one chunk of growth; returns packets injected above the
-        ACK clock (negative when a trimming controller drains)."""
-        before = self.cwnd
-        if self.cwnd < self.ssthresh:
-            delta = self.rule.increment(acked, self.cwnd, occupancy_fraction,
-                                        capacity, dt)
-            if delta < 0.0:
-                floor = max(1.0, float(self.options.initial_cwnd_segments))
-                self.cwnd = max(self.cwnd + delta, floor)
-                return self.cwnd - before
-            grown = self.cwnd + delta
-            if grown > self.ssthresh:
-                overshoot = grown - self.ssthresh
-                self.cwnd = self.ssthresh + overshoot / max(self.ssthresh, 1.0)
-            else:
-                self.cwnd = grown
-        else:
-            self.cwnd += acked / max(self.cwnd, 1.0)
-        self.max_cwnd = max(self.max_cwnd, self.cwnd)
-        return max(self.cwnd - before, 0.0)
-
     # -- reductions --------------------------------------------------------
     def _flight(self, ifq_queue: float, capacity: int, pipe: float) -> float:
         return min(self.window, pipe + min(ifq_queue, float(capacity)))
@@ -847,10 +903,6 @@ class _SenderIFQ:
         self.capacity = int(capacity)
         self.queue = 0.0
         self.peak = 0.0
-
-    def note_peak(self, jitter: float) -> None:
-        self.peak = max(self.peak,
-                        min(self.queue + jitter, float(self.capacity)))
 
 
 class FluidMultiFlowModel:
@@ -960,35 +1012,82 @@ class FluidMultiFlowModel:
 
         stalled_ifqs: set[int] = set()
         round_frozen = {st: st.frozen(now) for st in active}
+        # the round's growing flows: (state, IFQ, IFQ key, acked per chunk)
+        growing = [(st, self.ifqs[st.spec.ifq], st.spec.ifq, acked[st] / substeps)
+                   for st in active if acked[st] > 0.0]
+        # every sender IFQ has the path's capacity
+        capacity = self.capacity
+        cap = float(capacity)
+        reject_at = capacity - _STALL_EPS
+        jitter = self.ack_jitter
+        floor = max(1.0, float(self.options.initial_cwnd_segments))
         for s in range(substeps):
             t_sub = now + dt * (s + 1)
+            t_prev = t_sub - dt
             injected_by_ifq: dict[int, list[tuple[float, _FlowState]]] = {}
-            for st in active:
-                if st.frozen(t_sub - dt) or acked[st] <= 0.0:
-                    continue
-                ifq = self.ifqs[st.spec.ifq]
+            for st, ifq, key, chunk in growing:
+                if t_prev < st.freeze_until - 1e-12:
+                    continue  # frozen (CWR / recovery episode)
                 self.steps += 1
-                injected = st.grow(
-                    acked[st] / substeps, dt,
-                    ifq.queue / ifq.capacity if ifq.capacity else 0.0,
-                    ifq.capacity)
-                ifq.queue = max(ifq.queue + injected, 0.0)
-                injected_by_ifq.setdefault(st.spec.ifq, []).append((injected, st))
+                # -- window growth: packets injected above the ACK clock ----
+                cwnd = before = st.cwnd
+                ssthresh = st.ssthresh
+                if cwnd < ssthresh:
+                    delta = st.rule.increment(
+                        chunk, cwnd,
+                        ifq.queue / capacity if capacity else 0.0,
+                        capacity, dt)
+                    if delta < 0.0:
+                        # trimming controller: pull the window back
+                        cwnd += delta
+                        if floor > cwnd:
+                            cwnd = floor
+                        st.cwnd = cwnd
+                        injected = cwnd - before
+                    else:
+                        cwnd += delta
+                        if cwnd > ssthresh:
+                            cwnd = ssthresh + (cwnd - ssthresh) / max(ssthresh, 1.0)
+                        st.cwnd = cwnd
+                        if cwnd > st.max_cwnd:
+                            st.max_cwnd = cwnd
+                        injected = cwnd - before  # growth: never negative
+                else:
+                    cwnd += chunk / max(cwnd, 1.0)
+                    st.cwnd = cwnd
+                    if cwnd > st.max_cwnd:
+                        st.max_cwnd = cwnd
+                    injected = cwnd - before
+                queue = ifq.queue + injected
+                ifq.queue = 0.0 if queue < 0.0 else queue
+                contributions = injected_by_ifq.get(key)
+                if contributions is None:
+                    injected_by_ifq[key] = [(injected, st)]
+                else:
+                    contributions.append((injected, st))
             for key, contributions in injected_by_ifq.items():
                 ifq = self.ifqs[key]
                 drain = slack[key] * fraction / substeps
+                queue = ifq.queue
                 if drain > 0.0:
-                    ifq.queue = max(ifq.queue - drain, 0.0)
-                ifq.note_peak(self.ack_jitter)
-                if ifq.queue > ifq.capacity - _STALL_EPS:
-                    ifq.queue = min(ifq.queue, float(ifq.capacity))
+                    queue -= drain
+                    if queue < 0.0:
+                        queue = 0.0
+                level = queue + jitter
+                if level > cap:
+                    level = cap
+                if level > ifq.peak:
+                    ifq.peak = level
+                if queue > reject_at:
+                    if queue > cap:
+                        queue = cap
                     # attribute the rejected enqueue to the flow that grew
                     # the most this sub-step (ties: the largest window)
                     culprit = max(contributions,
                                   key=lambda item: (item[0], item[1].window))[1]
-                    culprit.reduce_on_stall(t_sub, rtt, ifq.queue,
-                                            ifq.capacity, self.pipe)
+                    culprit.reduce_on_stall(t_sub, rtt, queue, capacity, self.pipe)
                     stalled_ifqs.add(key)
+                ifq.queue = queue
 
         # --- end of round: relax bursts toward the standing level --------
         ifq_standing: dict[int, float] = {}
@@ -1001,7 +1100,7 @@ class FluidMultiFlowModel:
             if ifq.queue > target:
                 ifq.queue = max(target + (ifq.queue - target) * math.exp(-fraction), 0.0)
             ifq.queue = min(ifq.queue, float(ifq.capacity))
-            ifq.note_peak(0.0)
+            ifq.peak = max(ifq.peak, ifq.queue)
             ifq_standing[key] = min(target, float(ifq.capacity))
 
             # sustained-queue rejection: a standing queue so close to the

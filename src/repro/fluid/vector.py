@@ -17,7 +17,8 @@ array-wide passes:
 * slow-start/congestion-avoidance growth (Reno and RFC 3742 limited
   slow-start) is evaluated as masked array arithmetic.
 
-Flows whose growth rule is *stateful* (the restricted controller's real
+Flows whose growth rule is *stateful* (the restricted controller, whose
+PID step is pinned bit-for-bit to
 :class:`~repro.control.pid.PIDController`, or any third-party rule) stay on
 a small Python side-channel, batched once per sub-round chunk — they read
 and update the same occupancy arrays, so a handful of regulated flows can
@@ -77,6 +78,7 @@ from .model import (
     _SUSTAIN_MARGIN,
     FluidFlowInput,
     FluidFlowOutcome,
+    FluidGrowthRule,
     FluidMultiFlowResult,
     LimitedSlowStartFluid,
     RenoFluid,
@@ -311,7 +313,8 @@ class FluidPopulationModel:
         # side-channel, which calls the rule object faithfully.
         self.kind = np.full(n, _KIND_SIDE, dtype=np.int8)
         self.limited_max_ss = np.full(n, np.inf)
-        self.side_flows: list[tuple[int, object]] = []
+        #: side-channel rules by flow index, in flow order
+        self.side_rules: dict[int, FluidGrowthRule] = {}
         for i, s in enumerate(self.specs):
             rule = s.rule
             if type(rule) is RenoFluid:
@@ -320,7 +323,9 @@ class FluidPopulationModel:
                 self.kind[i] = _KIND_LIMITED
                 self.limited_max_ss[i] = rule.max_ssthresh
             else:
-                self.side_flows.append((i, rule))
+                self.side_rules[i] = rule
+        self.side_idx = np.fromiter(self.side_rules, dtype=np.intp,
+                                    count=len(self.side_rules))
         self.vector_kind = self.kind != _KIND_SIDE
 
         # --- dynamic state ------------------------------------------------
@@ -458,11 +463,12 @@ class FluidPopulationModel:
         return np.minimum(window, self.pipe + q)
 
     def _side_on_reduction(self, gidx: np.ndarray) -> None:
-        if not self.side_flows:
+        if not self.side_rules:
             return
-        hit = set(gidx.tolist())
-        for i, rule in self.side_flows:
-            if i in hit:
+        rules = self.side_rules
+        for i in gidx.tolist():
+            rule = rules.get(i)
+            if rule is not None:
                 rule.on_reduction()
 
     def _reduce_on_stall_many(self, gidx: np.ndarray, t: float, rtt: float) -> None:
@@ -536,17 +542,21 @@ class FluidPopulationModel:
         else:
             slack = np.zeros(nq)
 
+        # the round's active side-channel flows as (flow, rule, position in
+        # idx), in flow order
+        side: list[tuple[int, FluidGrowthRule, int]] = []
+        if self.side_rules:
+            side_active = self.side_idx[active[self.side_idx]]
+            positions = np.searchsorted(idx, side_active)
+            side = [(i, self.side_rules[i], p) for i, p in
+                    zip(side_active.tolist(), positions.tolist())]
+
         # --- growth, chunked so queue-sensing rules sample the ramp ------
         substeps = _MIN_CHUNKS
-        if self.side_flows:
-            pos_of = {int(gi): p for p, gi in enumerate(idx)}
-            for i, rule in self.side_flows:
-                p = pos_of.get(i)
-                if p is None:
-                    continue
-                grain = rule.grain(self.capacity)
-                if math.isfinite(grain) and grain > 0 and acked[p] > 0:
-                    substeps = max(substeps, int(math.ceil(acked[p] / grain)))
+        for i, rule, p in side:
+            grain = rule.grain(self.capacity)
+            if math.isfinite(grain) and grain > 0 and acked[p] > 0:
+                substeps = max(substeps, int(math.ceil(acked[p] / grain)))
         substeps = min(substeps, _MAX_CHUNKS)
         dt = span / substeps
         chunk = acked / substeps
@@ -596,11 +606,10 @@ class FluidPopulationModel:
             # side-channel rules (stateful controllers), in flow order so a
             # regulated flow sees this chunk's earlier injections — exactly
             # like the scalar model's per-flow scan
-            if self.side_flows:
+            if side:
                 floor = max(1.0, float(self.options.initial_cwnd_segments))
-                for i, rule in self.side_flows:
-                    p = pos_of.get(i)
-                    if p is None or not elig[p]:
+                for i, rule, p in side:
+                    if not elig[p]:
                         continue
                     qi = self.flow_ifq[i]
                     before = self.cwnd[i]
@@ -682,17 +691,16 @@ class FluidPopulationModel:
         sustained = np.minimum(self.queue, target)
         rejects = (member_q & ~stalled_q
                    & (sustained > boundary + _SUSTAIN_MARGIN))
-        if self.side_flows:
-            for i, rule in self.side_flows:
-                k = self.flow_ifq[i]
-                if (cnt[k] != 1 or stalled_q[k] or not active[i]
-                        or not self.cwnd[i] < self.ssthresh[i]):
-                    continue
-                ceiling = rule.sustained_queue_ceiling(self.capacity)
-                if ceiling is None:
-                    continue
-                rejects[k] = (ceiling > boundary + _STALL_EPS
-                              and sustained[k] >= ceiling - _SUSTAIN_MARGIN)
+        for i, rule, _ in side:
+            k = self.flow_ifq[i]
+            if (cnt[k] != 1 or stalled_q[k]
+                    or not self.cwnd[i] < self.ssthresh[i]):
+                continue
+            ceiling = rule.sustained_queue_ceiling(self.capacity)
+            if ceiling is None:
+                continue
+            rejects[k] = (ceiling > boundary + _STALL_EPS
+                          and sustained[k] >= ceiling - _SUSTAIN_MARGIN)
         if rejects.any():
             to_stall = idx[rejects[g] & ~round_frozen]
             self._reduce_on_stall_many(to_stall, now + span, rtt)

@@ -88,6 +88,16 @@ class TestExpansion:
         assert len(units) == 1
         assert units[0].spec.kind == "multi_flow"
 
+    def test_unit_cache_key_hashed_once(self, monkeypatch):
+        unit = small_campaign().expand()[0]
+        calls = []
+        original = type(unit.spec).cache_key
+        monkeypatch.setattr(type(unit.spec), "cache_key",
+                            lambda spec: calls.append(spec) or original(spec))
+        keys = {unit.cache_key for _ in range(4)}
+        assert keys == {unit.spec.cache_key()}
+        assert len(calls) == 2  # the cached property once, the check above once
+
 
 class TestSerialization:
     def test_json_round_trip(self):
